@@ -39,15 +39,15 @@
 use psvd_comm::{CommError, Communicator, Payload};
 use psvd_linalg::gemm::matmul_into;
 use psvd_linalg::qr::qr_thin_into;
-use psvd_linalg::randomized::{low_rank_svd, mixed_low_rank_svd};
-use psvd_linalg::snapshots::generate_right_vectors;
-use psvd_linalg::svd::svd_with;
 use psvd_linalg::workspace::Workspace;
 use psvd_linalg::{Matrix, Scalar};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::config::{Precision, SvdConfig};
+use crate::config::SvdConfig;
+use crate::exchange::Exchange;
+use crate::inner::InnerSolver;
+use crate::parallel::{apmos_leaf_factor, apmos_modes, apmos_root, scale_columns};
 
 /// Why a merge-tree plan could not be built from the requested shape.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -342,60 +342,30 @@ fn tail_energy<T: Scalar>(w: &Matrix<T>, s: &[T], keep: usize) -> f64 {
     (total - kept).max(0.0).sqrt()
 }
 
-/// Interior-node factorization of a group stack. Tall stacks go through
-/// the blocked thin QR (packed-GEMM trailing updates, scratch from `ws`)
-/// followed by the small square SVD of `R`; wide stacks hand straight to
-/// the dense SVD, which blocks internally via the transposed QR. The
-/// randomized path mirrors the old two-level scheme's per-merge seeding
+/// Interior-node factorization of a group stack. The dense solver sees
+/// tall stacks through the blocked thin QR (packed-GEMM trailing updates,
+/// scratch from `ws`) as the small square SVD of `R`; wide stacks hand
+/// straight to the dense SVD, which blocks internally via the transposed
+/// QR. The randomized solvers sketch the stack itself, seeded per merge
 /// so results do not depend on how many merges a rank happened to host.
 fn interior_factorize<T: Scalar>(
     stack: &Matrix<T>,
     keep: usize,
-    cfg: &SvdConfig,
+    solver: &InnerSolver,
+    seed: u64,
     ws: &mut Workspace,
     q: &mut Matrix<T>,
     r: &mut Matrix<T>,
 ) -> (Matrix<T>, Vec<T>) {
-    if cfg.low_rank {
-        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(stack.cols() as u64));
-        if cfg.precision == Precision::Mixed {
-            let (x, s) = mixed_low_rank_svd(&stack.cast::<f64>(), keep, &mut rng);
-            return (x.cast(), s.into_iter().map(T::from_f64).collect());
-        }
-        return low_rank_svd(stack, keep, &mut rng);
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(stack.cols() as u64));
+    if solver.is_randomized() || stack.rows() < stack.cols() {
+        return solver.factorize(stack, keep, &mut rng);
     }
-    if stack.rows() >= stack.cols() {
-        qr_thin_into(stack.view(), q, r, ws);
-        let f = svd_with(r, cfg.method);
-        let mut x = Matrix::zeros(0, 0);
-        matmul_into(q.view(), f.u.view(), &mut x);
-        (x, f.s)
-    } else {
-        let f = svd_with(stack, cfg.method);
-        (f.u, f.s)
-    }
-}
-
-/// Rank 0's final factorization — identical to the flat driver's inner
-/// SVD, including its use of the caller's stateful RNG for the
-/// randomized path, so a depth-1 plan reproduces the flat result bitwise.
-fn root_factorize<T: Scalar>(
-    w: &Matrix<T>,
-    rank: usize,
-    cfg: &SvdConfig,
-    rng: &mut StdRng,
-) -> (Matrix<T>, Vec<T>) {
-    if cfg.low_rank {
-        if cfg.precision == Precision::Mixed {
-            let (x, s) = mixed_low_rank_svd(&w.cast::<f64>(), rank, rng);
-            (x.cast(), s.into_iter().map(T::from_f64).collect())
-        } else {
-            low_rank_svd(w, rank, rng)
-        }
-    } else {
-        let f = svd_with(w, cfg.method);
-        (f.u, f.s)
-    }
+    qr_thin_into(stack.view(), q, r, ws);
+    let (u, s) = solver.factorize(r, keep, &mut rng);
+    let mut x = Matrix::zeros(0, 0);
+    matmul_into(q.view(), u.view(), &mut x);
+    (x, s)
 }
 
 /// Charge the simulated clock for a factorization of a `rows x cols`
@@ -403,7 +373,7 @@ fn root_factorize<T: Scalar>(
 /// `2·max·min² + 26·min³`, randomized `6·(keep+10)·rows·cols`).
 fn charge_factorize<C: Communicator>(
     comm: &C,
-    cfg: &SvdConfig,
+    solver: &InnerSolver,
     rows: usize,
     cols: usize,
     keep: usize,
@@ -411,42 +381,12 @@ fn charge_factorize<C: Communicator>(
 ) {
     let mn = rows.min(cols) as f64;
     let mx = rows.max(cols) as f64;
-    let flops = if cfg.low_rank {
+    let flops = if solver.is_randomized() {
         6.0 * (keep + 10) as f64 * rows as f64 * cols as f64
     } else {
         2.0 * mx * mn * mn + 26.0 * mn * mn * mn
     };
     comm.advance(flops / rate);
-}
-
-fn send_factor<C: Communicator, T: Scalar>(
-    comm: &C,
-    mixed: bool,
-    fac: Matrix<T>,
-    bounds: &[f64],
-    merges: u64,
-    dest: usize,
-    tag: u64,
-) -> Result<(), CommError> {
-    if mixed {
-        comm.try_send((fac.cast::<f32>(), bounds.to_vec(), merges), dest, tag)
-    } else {
-        comm.try_send((fac, bounds.to_vec(), merges), dest, tag)
-    }
-}
-
-fn recv_factor<C: Communicator, T: Scalar>(
-    comm: &C,
-    mixed: bool,
-    src: usize,
-    tag: u64,
-) -> Result<(Matrix<T>, Vec<f64>, u64), CommError> {
-    if mixed {
-        let (m, b, c) = comm.try_recv::<(Matrix<f32>, Vec<f64>, u64)>(src, tag)?;
-        Ok((m.cast::<T>(), b, c))
-    } else {
-        comm.try_recv::<(Matrix<T>, Vec<f64>, u64)>(src, tag)
-    }
 }
 
 /// Distributed SVD over a merge tree, writing this rank's block of the
@@ -473,7 +413,8 @@ pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
     let cfg = cfg.validated();
     let n = a_local.cols();
     assert!(n > 0, "merge_tree_svd: empty snapshot set");
-    let mixed = cfg.precision == Precision::Mixed;
+    let solver = InnerSolver::new(&cfg);
+    let exchange = Exchange::new(&cfg);
     let depth = plan.depth();
 
     // Claim every level's collective tag up front, identically on all
@@ -488,12 +429,7 @@ pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
     // Leaf: local right vectors truncated to r1, scaled in place to
     // Wᵢ = Ṽⁱ (Σ̃ⁱ)ᵀ — the same factor flat APMOS gathers.
     let r1 = cfg.r1.min(n);
-    let (mut fac, slocal) = generate_right_vectors(a_local, r1);
-    for i in 0..fac.rows() {
-        for (v, &s) in fac.row_mut(i).iter_mut().zip(&slocal) {
-            *v *= s;
-        }
-    }
+    let mut fac = apmos_leaf_factor(a_local, r1);
     if let Some(rate) = compute_rate {
         let (m, nn) = (a_local.rows() as f64, n as f64);
         comm.advance((2.0 * m * nn * nn + 25.0 * nn * nn * nn) / rate);
@@ -510,12 +446,10 @@ pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
     for (l, &f) in plan.fanouts().iter().enumerate() {
         let next_stride = stride.saturating_mul(f);
         let last = l + 1 == depth;
-        if mixed {
-            // Normalize this level's contribution to wire precision, root
-            // block included — exactly what the flat gather's symmetric
-            // demote/promote does, keeping depth-1 bitwise-pinned to flat.
-            fac = fac.cast::<f32>().cast();
-        }
+        // Normalize this level's contribution to wire precision, root
+        // block included — exactly what the flat gather's symmetric
+        // demote/promote does, keeping depth-1 bitwise-pinned to flat.
+        fac = exchange.wire_round(fac);
         if rank.is_multiple_of(next_stride) {
             // Leader: collect the group's factors in rank order.
             let mut blocks = vec![std::mem::replace(&mut fac, Matrix::zeros(0, 0))];
@@ -524,8 +458,8 @@ pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
                     Some(s) if s < size => s,
                     _ => break,
                 };
-                let (child, child_bounds, child_merges) =
-                    recv_factor::<C, T>(comm, mixed, src, level_tags[l])?;
+                let (child, (child_bounds, child_merges)) =
+                    exchange.recv::<_, T, (Vec<f64>, u64)>(comm, src, level_tags[l])?;
                 for (b, cb) in bounds.iter_mut().zip(&child_bounds) {
                     *b += cb;
                 }
@@ -542,21 +476,18 @@ pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
                 } else {
                     let keep = r1.min(stack.rows().min(stack.cols()));
                     if let Some(rate) = compute_rate {
-                        charge_factorize(comm, &cfg, stack.rows(), stack.cols(), keep, rate);
+                        charge_factorize(comm, &solver, stack.rows(), stack.cols(), keep, rate);
                     }
-                    let (x, s) = interior_factorize(&stack, keep, &cfg, ws, &mut qbuf, &mut rbuf);
+                    let (x, s) = interior_factorize(
+                        &stack, keep, &solver, cfg.seed, ws, &mut qbuf, &mut rbuf,
+                    );
                     bounds[l] += tail_energy(&stack, &s, keep.min(s.len()));
                     merges += 1;
                     // Re-compressed group factor: X̃ · diag(σ̃), scaled in
                     // place on the truncated copy.
                     let kk = keep.min(s.len());
-                    let mut xk = x.first_columns(kk);
-                    for i in 0..xk.rows() {
-                        for (v, &sv) in xk.row_mut(i).iter_mut().zip(&s[..kk]) {
-                            *v *= sv;
-                        }
-                    }
-                    fac = xk;
+                    fac = x.first_columns(kk);
+                    scale_columns(&mut fac, &s[..kk]);
                 }
             } else {
                 // Singleton group (ragged edge of the world): forward the
@@ -566,7 +497,7 @@ pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
         } else {
             let leader = rank - (rank % next_stride);
             let owned = std::mem::replace(&mut fac, Matrix::zeros(0, 0));
-            send_factor(comm, mixed, owned, &bounds, merges, leader, level_tags[l])?;
+            exchange.send(comm, owned, (bounds.clone(), merges), leader, level_tags[l])?;
             break;
         }
         stride = next_stride;
@@ -577,41 +508,28 @@ pub fn try_merge_tree_svd_into<C: Communicator, T: Scalar + Payload>(
     // ride a second (tiny) broadcast so every rank reports the same bound.
     let (factors, tail) = if rank == 0 {
         let w = fac;
-        let p = w.rows().min(w.cols());
-        let r2 = cfg.r2.min(p);
         if let Some(rate) = compute_rate {
-            charge_factorize(comm, &cfg, w.rows(), w.cols(), r2, rate);
+            let r2 = cfg.r2.min(w.rows().min(w.cols()));
+            charge_factorize(comm, &solver, w.rows(), w.cols(), r2, rate);
         }
-        let (x, s) = root_factorize(&w, r2, &cfg, rng);
-        let tail = tail_energy(&w, &s, r2.min(s.len()));
-        (Some((x.first_columns(r2), s[..r2.min(s.len())].to_vec())), tail)
+        let (x, s) = apmos_root(&w, cfg.r2, &solver, rng);
+        let tail = tail_energy(&w, &s, s.len());
+        (Some((x, s)), tail)
     } else {
         (None, 0.0)
     };
-    let (x, s) = crate::parallel::bcast_factors(comm, cfg.tree_collectives, mixed, factors, 0)?;
+    let (x, s) = exchange.bcast_factors(comm, factors, 0)?;
     let info_payload = if rank == 0 { Some((bounds, tail, merges)) } else { None };
-    let (per_level_bound, root_tail, merges) = if cfg.tree_collectives {
-        psvd_comm::collectives::try_tree_bcast(comm, info_payload, 0)?
-    } else {
-        comm.try_bcast(info_payload, 0)?
-    };
+    let (per_level_bound, root_tail, merges) = exchange.bcast(comm, info_payload, 0)?;
 
-    // Local slice of the global modes: Ũⁱ_j = (1/Λ̃_j) Aⁱ X̃_j.
-    let k = cfg.k.min(s.iter().filter(|&&v| v > T::ZERO).count());
-    let inv_s: Vec<T> = s[..k].iter().map(|&v| T::ONE / v).collect();
-    matmul_into(a_local.view(), x.block(0, x.rows(), 0, k), phi);
-    for i in 0..phi.rows() {
-        for (v, &is) in phi.row_mut(i).iter_mut().zip(&inv_s) {
-            *v *= is;
-        }
-    }
+    let s = apmos_modes(a_local, &x, &s, cfg.k, phi);
     if let Some(rate) = compute_rate {
-        let (m, nn, kk) = (a_local.rows() as f64, n as f64, k as f64);
+        let (m, nn, kk) = (a_local.rows() as f64, n as f64, s.len() as f64);
         comm.advance(2.0 * m * nn * kk / rate);
     }
 
     let info = TreeMergeInfo { fanouts: plan.fanouts.clone(), per_level_bound, root_tail, merges };
-    Ok((s[..k].to_vec(), info))
+    Ok((s, info))
 }
 
 /// One-shot merge-tree SVD with a fresh RNG/workspace (the convenience
@@ -622,12 +540,7 @@ pub fn try_merge_tree_svd<C: Communicator, T: Scalar + Payload>(
     a_local: &Matrix<T>,
     plan: &MergeTreePlan,
 ) -> Result<(Matrix<T>, Vec<T>, TreeMergeInfo), TreeSvdError> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut ws = Workspace::new();
-    let mut phi = Matrix::zeros(0, 0);
-    let (s, info) =
-        try_merge_tree_svd_into(comm, cfg, a_local, plan, &mut rng, &mut ws, None, &mut phi)?;
-    Ok((phi, s, info))
+    merge_tree_svd_once(comm, cfg, a_local, plan, None)
 }
 
 /// As [`try_merge_tree_svd`], additionally charging modeled local compute
@@ -640,6 +553,16 @@ pub fn try_merge_tree_svd_timed<C: Communicator, T: Scalar + Payload>(
     plan: &MergeTreePlan,
     compute_rate: f64,
 ) -> Result<(Matrix<T>, Vec<T>, TreeMergeInfo), TreeSvdError> {
+    merge_tree_svd_once(comm, cfg, a_local, plan, Some(compute_rate))
+}
+
+fn merge_tree_svd_once<C: Communicator, T: Scalar + Payload>(
+    comm: &C,
+    cfg: SvdConfig,
+    a_local: &Matrix<T>,
+    plan: &MergeTreePlan,
+    compute_rate: Option<f64>,
+) -> Result<(Matrix<T>, Vec<T>, TreeMergeInfo), TreeSvdError> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut ws = Workspace::new();
     let mut phi = Matrix::zeros(0, 0);
@@ -650,7 +573,7 @@ pub fn try_merge_tree_svd_timed<C: Communicator, T: Scalar + Payload>(
         plan,
         &mut rng,
         &mut ws,
-        Some(compute_rate),
+        compute_rate,
         &mut phi,
     )?;
     Ok((phi, s, info))
@@ -721,7 +644,12 @@ mod tests {
     fn exact_without_truncation() {
         let a = decaying(96, 10, 1);
         let k = 4;
-        let cfg = SvdConfig::new(k).with_r1(10).with_r2(10).with_forget_factor(1.0);
+        // Pinned to F64: the bound is a double-precision round-off contract.
+        let cfg = SvdConfig::new(k)
+            .with_r1(10)
+            .with_r2(10)
+            .with_forget_factor(1.0)
+            .with_precision(crate::Precision::F64);
         let (modes, s) = run_hier(&a, 8, 4, cfg);
         let (u_ref, s_ref) = batch_truncated_svd(&a, k);
         assert!(spectrum_error(&s_ref, &s) < 1e-8, "{s_ref:?} vs {s:?}");

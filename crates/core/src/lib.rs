@@ -29,7 +29,9 @@ pub mod brand;
 pub mod checkpoint;
 pub mod config;
 pub mod dmd;
+mod exchange;
 pub mod hierarchical;
+mod inner;
 pub mod parallel;
 pub mod pod;
 pub mod postprocess;

@@ -14,7 +14,8 @@
 //!
 //! The streaming driver (Listing 2) is the Levy–Lindenbaum loop of
 //! [`crate::serial`] with both kernels swapped in. Rank 0's inner SVDs may
-//! be randomized (`low_rank`), which is the paper's third building block.
+//! be randomized, which is the paper's third building block; every
+//! factor crosses the communicator through one [`Exchange`].
 //!
 //! The paper's Listing 4 negates `qglobal`/`rfinal` ("trick for
 //! consistency"); our QR canonicalizes to a non-negative `R` diagonal
@@ -30,78 +31,21 @@
 
 use std::io;
 
-use psvd_comm::collectives::{tree_allgather, tree_gather, try_tree_bcast, try_tree_gather};
 use psvd_comm::{CommError, Communicator, Payload};
 use psvd_data::stream::SnapshotSource;
 use psvd_linalg::gemm::matmul_into;
 use psvd_linalg::qr::qr_thin_into;
-use psvd_linalg::randomized::{low_rank_svd, mixed_low_rank_svd};
 use psvd_linalg::snapshots::generate_right_vectors;
-use psvd_linalg::svd::svd_with;
 use psvd_linalg::workspace::{Workspace, WorkspaceStats};
 use psvd_linalg::{Matrix, Scalar};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::config::{Precision, SvdConfig};
+use crate::config::SvdConfig;
+use crate::exchange::Exchange;
 use crate::hierarchical::{try_merge_tree_svd_into, MergeTreePlan, TreeMergeInfo, TreeSvdError};
-
-/// Gather `m` at `root`. In mixed-precision mode every block is demoted
-/// to `f32` *before* entering the collective (so root and non-root
-/// contributions are charged — and rounded — identically) and promoted
-/// back on receipt; otherwise blocks travel at the native dtype. The
-/// demotion happens ahead of the tree/flat split, so both collective
-/// shapes move bit-identical payloads.
-pub(crate) fn gather_blocks<C: Communicator, T: Scalar>(
-    comm: &C,
-    tree: bool,
-    mixed: bool,
-    m: Matrix<T>,
-    root: usize,
-) -> Result<Option<Vec<Matrix<T>>>, CommError> {
-    if mixed {
-        let demoted = m.cast::<f32>();
-        let parts = if tree {
-            try_tree_gather(comm, demoted, root)?
-        } else {
-            comm.try_gather(demoted, root)?
-        };
-        Ok(parts.map(|ps| ps.into_iter().map(|p| p.cast::<T>()).collect()))
-    } else if tree {
-        try_tree_gather(comm, m, root)
-    } else {
-        comm.try_gather(m, root)
-    }
-}
-
-/// Broadcast the `(factor matrix, singular values)` pair from `root`. In
-/// mixed-precision mode the matrix travels as `f32` and the singular
-/// values as `f64` (they are `K` numbers — demoting them would halve
-/// nothing and cost the σ accuracy contract); every rank, root included,
-/// consumes the promoted wire copy so all ranks hold bit-identical
-/// factors.
-pub(crate) fn bcast_factors<C: Communicator, T: Scalar + Payload>(
-    comm: &C,
-    tree: bool,
-    mixed: bool,
-    factors: Option<(Matrix<T>, Vec<T>)>,
-    root: usize,
-) -> Result<(Matrix<T>, Vec<T>), CommError> {
-    if mixed {
-        let demoted = factors
-            .map(|(x, s)| (x.cast::<f32>(), s.iter().map(|v| v.to_f64()).collect::<Vec<f64>>()));
-        let (x, s) = if tree {
-            try_tree_bcast(comm, demoted, root)?
-        } else {
-            comm.try_bcast(demoted, root)?
-        };
-        Ok((x.cast::<T>(), s.into_iter().map(T::from_f64).collect()))
-    } else if tree {
-        try_tree_bcast(comm, factors, root)
-    } else {
-        comm.try_bcast(factors, root)
-    }
-}
+use crate::inner::InnerSolver;
+use crate::serial::fill_stack;
 
 /// Tag base for the TSQR Q-block scatter (the paper uses `tag = rank + 10`).
 const TAG_QR_SCATTER: u64 = 10;
@@ -190,6 +134,10 @@ pub struct ParallelStreamingSvd<'a, C: Communicator, T: Scalar = f64> {
     iteration: usize,
     snapshots_seen: usize,
     rng: StdRng,
+    /// Rank 0's inner SVD.
+    solver: InnerSolver,
+    /// Collective shape and wire dtype.
+    exchange: Exchange,
     /// Scratch arena feeding the QR kernels.
     ws: Workspace,
     /// Persistent `[ff·U·D | A_i]` stack buffer.
@@ -203,8 +151,6 @@ pub struct ParallelStreamingSvd<'a, C: Communicator, T: Scalar = f64> {
     qlocal: Matrix<T>,
     /// Buffer the next mode block is formed in before swapping into place.
     next_ulocal: Matrix<T>,
-    /// Down-weighted singular values `ff · s`.
-    weighted: Vec<T>,
     /// Persistent landing buffer for pull-based ingestion (`fit_source`).
     ingest: Matrix<T>,
     /// World size at construction.
@@ -233,6 +179,8 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
             world_size: size,
             degraded: None,
             rng: StdRng::seed_from_u64(cfg.seed),
+            solver: InnerSolver::new(&cfg),
+            exchange: Exchange::new(&cfg),
             cfg,
             ulocal: Matrix::zeros(0, 0),
             singular_values: Vec::new(),
@@ -245,7 +193,6 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
             qr_gr: Matrix::zeros(0, 0),
             qlocal: Matrix::zeros(0, 0),
             next_ulocal: Matrix::zeros(0, 0),
-            weighted: Vec::new(),
             ingest: Matrix::zeros(0, 0),
             tree_info: None,
         }
@@ -354,20 +301,17 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
     /// `K` leading global left singular vectors and the singular values.
     pub fn parallel_svd(&mut self, a_local: &Matrix<T>) -> (Matrix<T>, Vec<T>) {
         let mut phi = Matrix::zeros(0, 0);
-        let s = self.parallel_svd_into(a_local, &mut phi);
+        let s = self
+            .try_parallel_svd_into(a_local, &mut phi)
+            .unwrap_or_else(|e| panic!("parallel_svd failed: {e}"));
         (phi, s)
     }
 
-    /// APMOS round writing this rank's mode block into `phi` (reused
-    /// across calls — warm buffers make the local assembly allocation-free;
-    /// the gathered/broadcast factors inherently transfer ownership).
-    fn parallel_svd_into(&mut self, a_local: &Matrix<T>, phi: &mut Matrix<T>) -> Vec<T> {
-        self.try_parallel_svd_into(a_local, phi)
-            .unwrap_or_else(|e| panic!("parallel_svd failed: {e}"))
-    }
-
-    /// Fallible APMOS round: surfaces permanent communication failures
-    /// (dead ranks, exhausted retries) instead of panicking.
+    /// Fallible APMOS round writing this rank's mode block into `phi`
+    /// (reused across calls — warm buffers make the local assembly
+    /// allocation-free; the gathered/broadcast factors inherently transfer
+    /// ownership). Permanent communication failures (dead ranks, exhausted
+    /// retries) surface instead of panicking.
     fn try_parallel_svd_into(
         &mut self,
         a_local: &Matrix<T>,
@@ -406,61 +350,15 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
             };
         }
 
-        let r1 = self.cfg.r1.min(n);
-        let mixed = self.cfg.precision == Precision::Mixed;
-
-        // Local right vectors by the method of snapshots, truncated to r1.
-        let (mut wlocal, slocal) = generate_right_vectors(a_local, r1);
-        // Wᵢ = Ṽⁱ (Σ̃ⁱ)ᵀ — a column scaling, since Σ̃ is diagonal; done in
-        // place since Ṽⁱ is moved into the gather anyway.
-        for i in 0..wlocal.rows() {
-            for (v, &s) in wlocal.row_mut(i).iter_mut().zip(&slocal) {
-                *v *= s;
-            }
-        }
-
-        // Gather W at rank 0 and factorize there.
-        let wglobal = gather_blocks(self.comm, self.cfg.tree_collectives, mixed, wlocal, 0)?;
-        // Root-ness = who holds the gathered blocks (see `qr_round` on
-        // death-round transitions).
-        let factors = if let Some(parts) = wglobal {
-            let w = Matrix::hstack_all(&parts);
-            let p = w.rows().min(w.cols());
-            let r2 = self.cfg.r2.min(p);
-            let (x, s) = self.small_factorize(&w, r2);
-            Some((x.first_columns(r2), s[..r2.min(s.len())].to_vec()))
-        } else {
-            None
-        };
-        let (x, s) = bcast_factors(self.comm, self.cfg.tree_collectives, mixed, factors, 0)?;
-
-        // Local slice of the global modes: Ũⁱ_j = (1/Λ̃_j) Aⁱ X̃_j.
-        let k = self.cfg.k.min(s.iter().filter(|&&v| v > T::ZERO).count());
-        let inv_s: Vec<T> = s[..k].iter().map(|&v| T::ONE / v).collect();
-        matmul_into(a_local.view(), x.block(0, x.rows(), 0, k), phi);
-        for i in 0..phi.rows() {
-            for (v, &is) in phi.row_mut(i).iter_mut().zip(&inv_s) {
-                *v *= is;
-            }
-        }
-        Ok(s[..k].to_vec())
-    }
-
-    /// Rank 0's inner SVD of a small gathered factor: randomized when
-    /// `low_rank` (through the mixed f32-sketch pipeline in mixed mode),
-    /// dense otherwise.
-    fn small_factorize(&mut self, w: &Matrix<T>, rank: usize) -> (Matrix<T>, Vec<T>) {
-        if self.cfg.low_rank {
-            if self.cfg.precision == Precision::Mixed {
-                let (x, s) = mixed_low_rank_svd(&w.cast::<f64>(), rank, &mut self.rng);
-                (x.cast(), s.into_iter().map(T::from_f64).collect())
-            } else {
-                low_rank_svd(w, rank, &mut self.rng)
-            }
-        } else {
-            let f = svd_with(w, self.cfg.method);
-            (f.u, f.s)
-        }
+        let wlocal = apmos_leaf_factor(a_local, self.cfg.r1);
+        let gathered = self.exchange.gather(self.comm, wlocal, 0)?;
+        // Root-ness = who holds the gathered blocks (see
+        // `try_parallel_qr_into` on death-round transitions).
+        let factors = gathered.map(|parts| {
+            apmos_root(&Matrix::hstack_all(&parts), self.cfg.r2, &self.solver, &mut self.rng)
+        });
+        let (x, s) = self.exchange.bcast_factors(self.comm, factors, 0)?;
+        Ok(apmos_modes(a_local, &x, &s, self.cfg.k, phi))
     }
 
     /// TSQR (Listing 4): factorizes the row-distributed matrix as
@@ -468,14 +366,16 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
     /// the SVD of the final `R` (step I2/2 of the Levy–Lindenbaum loop).
     pub fn parallel_qr(&mut self, a_local: &Matrix<T>) -> (Matrix<T>, Matrix<T>, Vec<T>) {
         let mut qlocal = Matrix::zeros(0, 0);
-        let (unew, snew) = self.parallel_qr_into(a_local, &mut qlocal);
+        let (unew, snew) = self
+            .try_parallel_qr_into(a_local, &mut qlocal)
+            .unwrap_or_else(|e| panic!("parallel_qr failed: {e}"));
         (qlocal, unew, snew)
     }
 
-    /// TSQR round writing `Q_local` into a caller-owned buffer. Local `Q`,
-    /// the root's stacked-R re-QR factors and the QR scratch persist on the
-    /// instance; only the `O(n²)` matrices whose ownership moves through
-    /// the communicator are freshly allocated.
+    /// Fallible TSQR round writing `Q_local` into a caller-owned buffer.
+    /// Local `Q`, the root's stacked-R re-QR factors and the QR scratch
+    /// persist on the instance; only the `O(n²)` matrices whose ownership
+    /// moves through the communicator are freshly allocated.
     ///
     /// Both QR stages route through `qr_thin_into`, which dispatches to
     /// the blocked compact-WY factorization for wide-enough panels (see
@@ -484,46 +384,15 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
     /// stays on the unblocked reference path with its serial reflector
     /// fallback — no thread-pool handoff for a factorization that takes
     /// microseconds.
-    fn parallel_qr_into(
-        &mut self,
-        a_local: &Matrix<T>,
-        qlocal: &mut Matrix<T>,
-    ) -> (Matrix<T>, Vec<T>) {
-        self.try_parallel_qr_into(a_local, qlocal)
-            .unwrap_or_else(|e| panic!("parallel_qr failed: {e}"))
-    }
-
-    /// Fallible TSQR round: surfaces permanent communication failures
-    /// instead of panicking. The persistent factor buffers are restored on
-    /// every exit path, so an errored round leaves the instance reusable.
+    ///
+    /// Permanent communication failures surface instead of panicking; the
+    /// persistent factor buffers stay on the instance either way, so an
+    /// errored round leaves it reusable.
     fn try_parallel_qr_into(
         &mut self,
         a_local: &Matrix<T>,
         qlocal: &mut Matrix<T>,
     ) -> Result<(Matrix<T>, Vec<T>), CommError> {
-        // Take the persistent buffers out of self so the communicator and
-        // RNG can be borrowed freely in the body; restored before
-        // propagating either outcome.
-        let mut local_q = std::mem::replace(&mut self.qr_q, Matrix::zeros(0, 0));
-        let mut gq = std::mem::replace(&mut self.qr_gq, Matrix::zeros(0, 0));
-        let mut gr = std::mem::replace(&mut self.qr_gr, Matrix::zeros(0, 0));
-        let result = self.qr_round(a_local, qlocal, &mut local_q, &mut gq, &mut gr);
-        self.qr_q = local_q;
-        self.qr_gq = gq;
-        self.qr_gr = gr;
-        result
-    }
-
-    /// The TSQR round proper, operating on buffers held by the caller.
-    fn qr_round(
-        &mut self,
-        a_local: &Matrix<T>,
-        qlocal: &mut Matrix<T>,
-        local_q: &mut Matrix<T>,
-        gq: &mut Matrix<T>,
-        gr: &mut Matrix<T>,
-    ) -> Result<(Matrix<T>, Vec<T>), CommError> {
-        let mixed = self.cfg.precision == Precision::Mixed;
         let n = a_local.cols();
         assert!(
             a_local.rows() >= n,
@@ -535,65 +404,36 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
         // Local thin QR; R is n x n because the block is tall. R is moved
         // into the gather, so it is built in a fresh matrix.
         let mut local_r = Matrix::zeros(0, 0);
-        qr_thin_into(a_local.view(), local_q, &mut local_r, &mut self.ws);
+        qr_thin_into(a_local.view(), &mut self.qr_q, &mut local_r, &mut self.ws);
 
         // Gather the R factors, stack (reusing their storage), and
         // re-factorize at rank 0. The world shape is read only after the
         // gather: its collective round boundary is where injected rank
         // deaths activate, and the scatter below must address the
         // post-transition world (root-ness = who holds the gathered Rs).
-        let r_global = gather_blocks(self.comm, self.cfg.tree_collectives, mixed, local_r, 0)?;
+        let r_global = self.exchange.gather(self.comm, local_r, 0)?;
         let rank = self.comm.rank();
         let size = self.comm.size();
-        let have_rfinal = if let Some(parts) = r_global {
+        let factors = if let Some(parts) = r_global {
             let stack = Matrix::vstack_owned(parts);
+            let (gq, gr) = (&mut self.qr_gq, &mut self.qr_gr);
             qr_thin_into(stack.view(), gq, gr, &mut self.ws);
             // Scatter each rank's n-row block of the stacked Q; rank 0's
-            // own block is consumed as a view, never copied. Mixed mode
-            // demotes the scattered blocks to f32 on the wire.
+            // own block is consumed as a view, never copied.
             for dst in 1..size {
-                let block = gq.block(dst * n, (dst + 1) * n, 0, n);
-                if mixed {
-                    let demoted: Matrix<f32> = block.to_matrix().cast();
-                    self.comm.try_send(demoted, dst, TAG_QR_SCATTER + dst as u64)?;
-                } else {
-                    self.comm.try_send(block.to_matrix(), dst, TAG_QR_SCATTER + dst as u64)?;
-                }
+                let block = gq.block(dst * n, (dst + 1) * n, 0, n).to_matrix();
+                self.exchange.send(self.comm, block, (), dst, TAG_QR_SCATTER + dst as u64)?;
             }
-            matmul_into(local_q.view(), gq.block(0, n, 0, n), qlocal);
-            true
+            matmul_into(self.qr_q.view(), gq.block(0, n, 0, n), qlocal);
+            // SVD of the small final R, broadcast to everyone below.
+            Some(self.solver.factorize(gr, self.cfg.k.min(n), &mut self.rng))
         } else {
-            if mixed {
-                let block = self.comm.try_recv::<Matrix<f32>>(0, TAG_QR_SCATTER + rank as u64)?;
-                let promoted: Matrix<T> = block.cast();
-                matmul_into(local_q.view(), promoted.view(), qlocal);
-            } else {
-                let block = self.comm.try_recv::<Matrix<T>>(0, TAG_QR_SCATTER + rank as u64)?;
-                matmul_into(local_q.view(), block.view(), qlocal);
-            }
-            false
-        };
-
-        // SVD of the small final R at rank 0 (randomized if configured),
-        // broadcast to everyone.
-        let factors = if have_rfinal {
-            let rank_cap = self.cfg.k.min(n);
-            let (unew, snew) = if self.cfg.low_rank {
-                if mixed {
-                    let (x, s) = mixed_low_rank_svd(&gr.cast::<f64>(), rank_cap, &mut self.rng);
-                    (x.cast(), s.into_iter().map(T::from_f64).collect())
-                } else {
-                    low_rank_svd(gr, rank_cap, &mut self.rng)
-                }
-            } else {
-                let f = svd_with(gr, self.cfg.method);
-                (f.u, f.s)
-            };
-            Some((unew, snew))
-        } else {
+            let tag = TAG_QR_SCATTER + rank as u64;
+            let (block, ()) = self.exchange.recv::<_, T, ()>(self.comm, 0, tag)?;
+            matmul_into(self.qr_q.view(), block.view(), qlocal);
             None
         };
-        bcast_factors(self.comm, self.cfg.tree_collectives, mixed, factors, 0)
+        self.exchange.bcast_factors(self.comm, factors, 0)
     }
 
     /// Ingest the first local batch `A0ⁱ` (`Mᵢ x B`) — Listing 2's
@@ -639,21 +479,8 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
         self.note_world()?;
         self.iteration += 1;
 
-        // Build [ff * U_{i-1} D_{i-1} | A_i] row by row in the persistent
-        // stack buffer — same multiplies as mul_diag + hstack, no
-        // transient matrices.
-        let (m, k0) = self.ulocal.shape();
-        let ff = T::from_f64(self.cfg.forget_factor);
-        self.weighted.clear();
-        self.weighted.extend(self.singular_values.iter().map(|s| *s * ff));
-        self.stack.reshape_for_overwrite(m, k0 + a_local.cols());
-        for i in 0..m {
-            let dst = self.stack.row_mut(i);
-            for ((d, &u), &w) in dst[..k0].iter_mut().zip(self.ulocal.row(i)).zip(&self.weighted) {
-                *d = u * w;
-            }
-            dst[k0..].copy_from_slice(a_local.row(i));
-        }
+        let ff = self.cfg.forget_factor;
+        fill_stack(&mut self.stack, &self.ulocal, &self.singular_values, ff, a_local);
 
         let stack = std::mem::replace(&mut self.stack, Matrix::zeros(0, 0));
         let mut qlocal = std::mem::replace(&mut self.qlocal, Matrix::zeros(0, 0));
@@ -750,57 +577,31 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
     /// this rank's block into the gather; when the tracker is finished,
     /// [`ParallelStreamingSvd::into_gathered_modes`] moves it instead.
     pub fn gather_modes(&self, root: usize) -> Option<Matrix<T>> {
-        if self.cfg.precision == Precision::Mixed {
-            let demoted = self.ulocal.cast::<f32>();
-            let blocks = if self.cfg.tree_collectives {
-                tree_gather(self.comm, demoted, root)
-            } else {
-                self.comm.gather(demoted, root)
-            };
-            return blocks.map(|b| Matrix::vstack_owned(b.iter().map(|p| p.cast::<T>()).collect()));
-        }
-        let blocks = if self.cfg.tree_collectives {
-            tree_gather(self.comm, self.ulocal.clone(), root)
-        } else {
-            self.comm.gather(self.ulocal.clone(), root)
-        };
-        blocks.map(|b| Matrix::vstack_all(&b))
+        self.exchange
+            .gather(self.comm, self.ulocal.clone(), root)
+            .unwrap_or_else(|e| panic!("gather_modes failed: {e}"))
+            .map(Matrix::vstack_owned)
     }
 
     /// Consume the tracker and gather the distributed modes at `root`,
     /// moving this rank's block into the collective (no snapshot copy) and
     /// assembling the result by reusing the gathered storage.
     pub fn into_gathered_modes(self, root: usize) -> Option<Matrix<T>> {
-        if self.cfg.precision == Precision::Mixed {
-            return self.gather_modes(root);
-        }
-        let blocks = if self.cfg.tree_collectives {
-            tree_gather(self.comm, self.ulocal, root)
-        } else {
-            self.comm.gather(self.ulocal, root)
-        };
-        blocks.map(Matrix::vstack_owned)
+        self.exchange
+            .gather(self.comm, self.ulocal, root)
+            .unwrap_or_else(|e| panic!("into_gathered_modes failed: {e}"))
+            .map(Matrix::vstack_owned)
     }
 
     /// Gather the distributed modes into the global `M x K` matrix on
     /// *every* rank — [`ParallelStreamingSvd::gather_modes`] followed by a
-    /// broadcast, both tree-structured when `cfg.tree_collectives` is set
-    /// so no stage funnels flat through rank 0.
+    /// broadcast, both over the configured collective shape (binomial
+    /// trees keep either stage from funnelling flat through rank 0).
     pub fn allgather_modes(&self) -> Matrix<T> {
-        if self.cfg.precision == Precision::Mixed {
-            let demoted = self.ulocal.cast::<f32>();
-            let blocks = if self.cfg.tree_collectives {
-                tree_allgather(self.comm, demoted)
-            } else {
-                self.comm.allgather(demoted)
-            };
-            return Matrix::vstack_owned(blocks.iter().map(|p| p.cast::<T>()).collect());
-        }
-        let blocks = if self.cfg.tree_collectives {
-            tree_allgather(self.comm, self.ulocal.clone())
-        } else {
-            self.comm.allgather(self.ulocal.clone())
-        };
+        let blocks = self
+            .exchange
+            .allgather(self.comm, self.ulocal.clone())
+            .unwrap_or_else(|e| panic!("allgather_modes failed: {e}"));
         Matrix::vstack_owned(blocks)
     }
 }
@@ -848,6 +649,53 @@ impl<'a, C: Communicator> ParallelStreamingSvd<'a, C> {
     }
 }
 
+/// APMOS leaf factor `Wᵢ = Ṽⁱ (Σ̃ⁱ)ᵀ`: local right vectors by the method
+/// of snapshots, truncated to `r1` columns and scaled in place (Σ̃ is
+/// diagonal).
+pub(crate) fn apmos_leaf_factor<T: Scalar>(a_local: &Matrix<T>, r1: usize) -> Matrix<T> {
+    let (mut w, s) = generate_right_vectors(a_local, r1.min(a_local.cols()));
+    scale_columns(&mut w, &s);
+    w
+}
+
+/// Scale column `j` of `m` by `d[j]`, in place.
+pub(crate) fn scale_columns<T: Scalar>(m: &mut Matrix<T>, d: &[T]) {
+    for i in 0..m.rows() {
+        for (v, &dj) in m.row_mut(i).iter_mut().zip(d) {
+            *v *= dj;
+        }
+    }
+}
+
+/// APMOS root: factorize the gathered `W` and truncate to `r2` columns.
+pub(crate) fn apmos_root<T: Scalar>(
+    w: &Matrix<T>,
+    r2: usize,
+    solver: &InnerSolver,
+    rng: &mut StdRng,
+) -> (Matrix<T>, Vec<T>) {
+    let r2 = r2.min(w.rows().min(w.cols()));
+    let (x, s) = solver.factorize(w, r2, rng);
+    (x.first_columns(r2), s[..r2.min(s.len())].to_vec())
+}
+
+/// This rank's slice of the global modes, `Ũⁱ_j = (1/Λ̃_j) Aⁱ X̃_j`, over
+/// the (at most `k`) positive broadcast singular values, written into
+/// `phi`; returns those singular values.
+pub(crate) fn apmos_modes<T: Scalar>(
+    a_local: &Matrix<T>,
+    x: &Matrix<T>,
+    s: &[T],
+    k: usize,
+    phi: &mut Matrix<T>,
+) -> Vec<T> {
+    let k = k.min(s.iter().filter(|&&v| v > T::ZERO).count());
+    let inv_s: Vec<T> = s[..k].iter().map(|&v| T::ONE / v).collect();
+    matmul_into(a_local.view(), x.block(0, x.rows(), 0, k), phi);
+    scale_columns(phi, &inv_s);
+    s[..k].to_vec()
+}
+
 /// One-shot distributed (optionally randomized) SVD without streaming —
 /// the configuration the paper's weak-scaling experiment times.
 pub fn parallel_svd_once<C: Communicator, T: Scalar + Payload>(
@@ -869,6 +717,7 @@ mod tests {
     use psvd_linalg::random::{matrix_with_spectrum, seeded_rng};
     use psvd_linalg::validate::{max_principal_angle, spectrum_error};
 
+    use crate::config::Precision;
     use crate::serial::{batch_truncated_svd, SerialStreamingSvd};
 
     fn decaying_matrix(m: usize, n: usize, seed: u64) -> Matrix {

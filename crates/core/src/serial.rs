@@ -24,15 +24,14 @@
 use psvd_data::stream::SnapshotSource;
 use psvd_linalg::gemm::matmul_into;
 use psvd_linalg::qr::qr_thin_into;
-use psvd_linalg::randomized::{mixed_randomized_svd, randomized_svd};
-use psvd_linalg::svd::svd_with;
 use psvd_linalg::workspace::{Workspace, WorkspaceStats};
-use psvd_linalg::{Matrix, Scalar, Svd};
+use psvd_linalg::{Matrix, Scalar};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io;
 
-use crate::config::{Precision, SvdConfig};
+use crate::config::SvdConfig;
+use crate::inner::InnerSolver;
 
 /// Streaming truncated SVD of a (conceptually unbounded) snapshot stream.
 ///
@@ -57,6 +56,8 @@ pub struct SerialStreamingSvd<T: Scalar = f64> {
     iteration: usize,
     snapshots_seen: usize,
     rng: StdRng,
+    /// Inner SVD of the small triangular factor.
+    solver: InnerSolver,
     /// Scratch arena feeding the QR kernel.
     ws: Workspace,
     /// Persistent `[ff·U·D | A_i]` stack buffer.
@@ -66,8 +67,6 @@ pub struct SerialStreamingSvd<T: Scalar = f64> {
     rbuf: Matrix<T>,
     /// Buffer the next mode matrix is formed in before swapping into place.
     next_modes: Matrix<T>,
-    /// Down-weighted singular values `ff · s`.
-    weighted: Vec<T>,
     /// Persistent landing buffer for pull-based ingestion (`fit_source`).
     ingest: Matrix<T>,
 }
@@ -79,6 +78,7 @@ impl<T: Scalar> SerialStreamingSvd<T> {
         let cfg = cfg.validated();
         Self {
             rng: StdRng::seed_from_u64(cfg.seed),
+            solver: InnerSolver::new(&cfg),
             cfg,
             modes: Matrix::zeros(0, 0),
             singular_values: Vec::new(),
@@ -89,7 +89,6 @@ impl<T: Scalar> SerialStreamingSvd<T> {
             qbuf: Matrix::zeros(0, 0),
             rbuf: Matrix::zeros(0, 0),
             next_modes: Matrix::zeros(0, 0),
-            weighted: Vec::new(),
             ingest: Matrix::zeros(0, 0),
         }
     }
@@ -144,42 +143,17 @@ impl<T: Scalar> SerialStreamingSvd<T> {
         self.ws.reset_stats();
     }
 
-    fn small_svd(&mut self, a: &Matrix<T>) -> Svd<T> {
-        if self.cfg.low_rank {
-            let rank = self.cfg.k.min(a.rows().min(a.cols()));
-            if self.cfg.precision == Precision::Mixed {
-                // f32 range finding, f64 re-orthogonalization and factors,
-                // narrowed back to the driver dtype (exact when T = f64).
-                let f = mixed_randomized_svd(
-                    &a.cast::<f64>(),
-                    &self.cfg.randomized(rank),
-                    &mut self.rng,
-                );
-                Svd {
-                    u: f.u.cast(),
-                    s: f.s.iter().map(|&x| T::from_f64(x)).collect(),
-                    vt: f.vt.cast(),
-                }
-            } else {
-                randomized_svd(a, &self.cfg.randomized(rank), &mut self.rng)
-            }
-        } else {
-            svd_with(a, self.cfg.method)
-        }
-    }
-
     /// SVD the small triangular factor sitting in `rbuf`, then form the
     /// next mode matrix `Q · U'_K` in the spare buffer and swap it in.
     /// All temporaries besides the `O((K+B)²)` SVD factors are reused.
     fn finish_update(&mut self) {
-        let rbuf = std::mem::replace(&mut self.rbuf, Matrix::zeros(0, 0));
-        let f = self.small_svd(&rbuf);
-        self.rbuf = rbuf;
-        let k = self.cfg.k.min(f.s.len());
-        matmul_into(self.qbuf.view(), f.u.block(0, f.u.rows(), 0, k), &mut self.next_modes);
+        let rank = self.cfg.k.min(self.rbuf.rows().min(self.rbuf.cols()));
+        let (u, s) = self.solver.factorize(&self.rbuf, rank, &mut self.rng);
+        let k = self.cfg.k.min(s.len());
+        matmul_into(self.qbuf.view(), u.block(0, u.rows(), 0, k), &mut self.next_modes);
         std::mem::swap(&mut self.modes, &mut self.next_modes);
         self.singular_values.clear();
-        self.singular_values.extend_from_slice(&f.s[..k]);
+        self.singular_values.extend_from_slice(&s[..k]);
     }
 
     /// Ingest the first batch `A0` (`M x B`).
@@ -202,21 +176,8 @@ impl<T: Scalar> SerialStreamingSvd<T> {
         }
         self.iteration += 1;
 
-        // Build [ff * U_{i-1} D_{i-1} | A_i] row by row in the persistent
-        // stack buffer — the same multiplies as mul_diag + hstack, without
-        // materializing either intermediate.
-        let (m, k0) = self.modes.shape();
-        let ff = T::from_f64(self.cfg.forget_factor);
-        self.weighted.clear();
-        self.weighted.extend(self.singular_values.iter().map(|s| *s * ff));
-        self.stack.reshape_for_overwrite(m, k0 + ai.cols());
-        for i in 0..m {
-            let dst = self.stack.row_mut(i);
-            for ((d, &u), &w) in dst[..k0].iter_mut().zip(self.modes.row(i)).zip(&self.weighted) {
-                *d = u * w;
-            }
-            dst[k0..].copy_from_slice(ai.row(i));
-        }
+        let ff = self.cfg.forget_factor;
+        fill_stack(&mut self.stack, &self.modes, &self.singular_values, ff, ai);
 
         // Thin QR of the stack, SVD of the small triangular factor. The QR
         // dispatches to the blocked compact-WY path once `k0 + B` crosses
@@ -315,6 +276,28 @@ impl<T: Scalar> SerialStreamingSvd<T> {
         })();
         self.ingest = ingest;
         result.map(|()| self)
+    }
+}
+
+/// Build `[ff · U diag(s) | A]` row by row in the persistent `stack` —
+/// the same multiplies as `mul_diag` + `hstack`, without materializing
+/// either intermediate.
+pub(crate) fn fill_stack<T: Scalar>(
+    stack: &mut Matrix<T>,
+    modes: &Matrix<T>,
+    s: &[T],
+    ff: f64,
+    a: &Matrix<T>,
+) {
+    let (m, k0) = modes.shape();
+    let ff = T::from_f64(ff);
+    stack.reshape_for_overwrite(m, k0 + a.cols());
+    for i in 0..m {
+        let dst = stack.row_mut(i);
+        for ((d, &u), &sv) in dst[..k0].iter_mut().zip(modes.row(i)).zip(s) {
+            *d = u * (sv * ff);
+        }
+        dst[k0..].copy_from_slice(a.row(i));
     }
 }
 

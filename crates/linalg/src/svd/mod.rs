@@ -22,47 +22,12 @@ use crate::matrix::Matrix;
 use crate::qr::thin_qr;
 use crate::scalar::Scalar;
 
-pub mod convergence_stats {
-    //! Process-wide iterative-solver convergence counters.
-    //!
-    //! The iterative SVD kernels are backstopped by iteration limits that
-    //! should never trigger; when one does, the kernel still returns its
-    //! best factorization, but silently. Mirroring
-    //! [`crate::matrix::alloc_stats`], every such bailout bumps a global
-    //! counter here, so callers that use the plain [`super::svd`]-style
-    //! entry points (no [`SvdInfo`](super::SvdInfo) in the signature) can
-    //! still detect a degraded solve by diffing [`failures`] around the
-    //! call. The `*_with_info` entry points report the same outcome
-    //! per-call.
-
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static FAILURES: AtomicU64 = AtomicU64::new(0);
-
-    /// Record one solver bailout (iteration limit hit before convergence).
-    #[inline]
-    pub(crate) fn record_failure() {
-        FAILURES.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Bailouts since process start or the last [`reset`].
-    pub fn failures() -> u64 {
-        FAILURES.load(Ordering::Relaxed)
-    }
-
-    /// Zero the counter.
-    pub fn reset() {
-        FAILURES.store(0, Ordering::Relaxed);
-    }
-}
-
 /// Convergence report for an iterative SVD kernel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SvdInfo {
     /// Iterations (QR steps / deflation chases, or Jacobi sweeps) spent.
     pub iterations: usize,
-    /// Whether the kernel converged within its iteration budget. A
-    /// `false` here also bumps [`convergence_stats::failures`].
+    /// Whether the kernel converged within its iteration budget.
     pub converged: bool,
 }
 

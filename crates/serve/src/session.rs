@@ -443,10 +443,11 @@ mod tests {
     }
 
     fn spec(rows: usize, ranks: usize, batch: usize) -> SessionSpec {
+        // Pinned to the flat f64 path: the twins below compare bitwise or
+        // to f64 round-off.
+        let svd = SvdConfig::new(2).with_r1(4).with_r2(4).with_tree_fanout(0).with_tree_depth(0);
         SessionSpec::new(2, rows)
-            .with_svd(
-                SvdConfig::new(2).with_r1(4).with_r2(4).with_tree_fanout(0).with_tree_depth(0),
-            )
+            .with_svd(svd.with_precision(psvd_core::Precision::F64))
             .with_ranks(ranks)
             .with_batch(batch)
     }

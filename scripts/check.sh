@@ -27,6 +27,8 @@ echo "check: clippy OK"
 
 cargo build --release
 cargo test -q
+# The root package's tests alone skip every crate's unit tests.
+cargo test -q --workspace
 echo "check: OK (fmt, clippy, release build, tests)"
 
 if [[ "$WITH_COV" == "1" ]]; then

@@ -68,6 +68,39 @@ fn randomized_parallel_close_to_deterministic_parallel() {
 }
 
 #[test]
+fn distributed_randomized_root_honours_sketch_config() {
+    use pyparsvd::linalg::randomized::randomized_svd;
+    use pyparsvd::linalg::snapshots::generate_right_vectors;
+    use rand::{rngs::StdRng, SeedableRng};
+
+    let data = burgers_data();
+    let cfg = SvdConfig::new(4)
+        .with_r1(12)
+        .with_r2(6)
+        .with_low_rank(true)
+        .with_oversampling(4)
+        .with_power_iterations(3)
+        .with_seed(11)
+        .with_precision(Precision::F64);
+    let world = World::new(1);
+    let out = world.run(|comm| pyparsvd::core::parallel_svd_once(comm, cfg, &data));
+    let sigma = &out[0].1;
+
+    // The same root factorization by hand: APMOS leaf factor W = V Σ,
+    // then the randomized SVD with the configured sketch.
+    let (mut w, s) = generate_right_vectors(&data, cfg.r1);
+    for i in 0..w.rows() {
+        for (v, &sv) in w.row_mut(i).iter_mut().zip(&s) {
+            *v *= sv;
+        }
+    }
+    let r2 = cfg.r2.min(w.rows().min(w.cols()));
+    let oracle = randomized_svd(&w, &cfg.randomized(r2), &mut StdRng::seed_from_u64(cfg.seed));
+    assert_eq!(sigma.len(), cfg.k);
+    assert_eq!(sigma[..], oracle.s[..cfg.k], "root ignored oversampling/power_iterations");
+}
+
+#[test]
 fn ncsim_hyperslab_pipeline_matches_in_memory() {
     let data = burgers_data();
     let path = std::env::temp_dir().join(format!("psvd_it_ncsim_{}.ncs", std::process::id()));
