@@ -4,10 +4,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use psvd_linalg::random::{gaussian_matrix, seeded_rng};
-use psvd_linalg::{qr_thin_into, set_qr_block, Matrix, Workspace};
+use psvd_linalg::{qr_block, qr_thin_blocked_into, Matrix, Workspace};
 
-fn qr_once(a: &Matrix, ws: &mut Workspace, q: &mut Matrix, r: &mut Matrix) {
-    qr_thin_into(a.view(), q, r, ws);
+fn qr_once(a: &Matrix, nb: usize, ws: &mut Workspace, q: &mut Matrix, r: &mut Matrix) {
+    qr_thin_blocked_into(a.view(), nb, q, r, ws);
 }
 
 fn bench_tall_skinny(c: &mut Criterion) {
@@ -17,17 +17,14 @@ fn bench_tall_skinny(c: &mut Criterion) {
         let a = gaussian_matrix(m, n, &mut seeded_rng(5));
         let mut ws = Workspace::new();
         let (mut q, mut r) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        let id = format!("{m}x{n}");
+        let (id, nb) = (format!("{m}x{n}"), qr_block(m, n));
         group.bench_with_input(BenchmarkId::new("unblocked", &id), &m, |bench, _| {
-            set_qr_block(1);
-            bench.iter(|| qr_once(&a, &mut ws, &mut q, &mut r));
+            bench.iter(|| qr_once(&a, 1, &mut ws, &mut q, &mut r));
         });
         group.bench_with_input(BenchmarkId::new("blocked", &id), &m, |bench, _| {
-            set_qr_block(0); // auto panel width
-            bench.iter(|| qr_once(&a, &mut ws, &mut q, &mut r));
+            bench.iter(|| qr_once(&a, nb, &mut ws, &mut q, &mut r));
         });
     }
-    set_qr_block(0);
     group.finish();
 }
 
@@ -39,14 +36,11 @@ fn bench_square(c: &mut Criterion) {
     let mut ws = Workspace::new();
     let (mut q, mut r) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
     group.bench_with_input(BenchmarkId::new("unblocked", n), &n, |bench, _| {
-        set_qr_block(1);
-        bench.iter(|| qr_once(&a, &mut ws, &mut q, &mut r));
+        bench.iter(|| qr_once(&a, 1, &mut ws, &mut q, &mut r));
     });
     group.bench_with_input(BenchmarkId::new("blocked", n), &n, |bench, _| {
-        set_qr_block(0);
-        bench.iter(|| qr_once(&a, &mut ws, &mut q, &mut r));
+        bench.iter(|| qr_once(&a, qr_block(n, n), &mut ws, &mut q, &mut r));
     });
-    set_qr_block(0);
     group.finish();
 }
 

@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 
 use psvd_bench::{time_it, Table};
 use psvd_linalg::norms::orthogonality_error;
-use psvd_linalg::qr::{qr_block, qr_thin_into, set_qr_block};
+use psvd_linalg::qr::{qr_block, qr_thin_blocked_into};
 use psvd_linalg::random::{gaussian_matrix, seeded_rng};
 use psvd_linalg::{par, Matrix, Workspace};
 
@@ -75,10 +75,7 @@ fn main() {
         let label = format!("{m}x{n}");
         let mut ws = Workspace::new();
         let (mut q, mut r) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        let nb = {
-            set_qr_block(0);
-            qr_block(m, n)
-        };
+        let nb = qr_block(m, n);
 
         let mut unblocked_best = f64::INFINITY;
         let mut blocked_best = f64::INFINITY;
@@ -86,12 +83,13 @@ fn main() {
         let mut baseline: Option<(Matrix, Matrix)> = None;
 
         for &(engine, width) in &[("unblocked", 1usize), ("blocked", nb)] {
-            set_qr_block(width);
             // Warm the workspace outside the timed region.
-            qr_thin_into(a.view(), &mut q, &mut r, &mut ws);
+            qr_thin_blocked_into(a.view(), width, &mut q, &mut r, &mut ws);
             for &threads in &thread_counts {
                 par::set_num_threads(threads);
-                let (_, t) = best_of(reps, || qr_thin_into(a.view(), &mut q, &mut r, &mut ws));
+                let (_, t) = best_of(reps, || {
+                    qr_thin_blocked_into(a.view(), width, &mut q, &mut r, &mut ws)
+                });
                 let deterministic = if engine == "unblocked" {
                     unblocked_best = unblocked_best.min(t);
                     if reference.is_none() {
@@ -141,7 +139,6 @@ fn main() {
             }
         }
         par::set_num_threads(0);
-        set_qr_block(0);
         let speedup = unblocked_best / blocked_best;
         speedups.push((m, n, speedup));
         println!("  {label}: blocked (nb = {nb}) is {speedup:.2}x the unblocked path\n");

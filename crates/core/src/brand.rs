@@ -172,9 +172,9 @@ impl BrandIncrementalSvd {
                 *l += l2;
             }
         }
-        // Orthogonalize the residual block; wide batches ride the blocked
-        // compact-WY QR path and its packed-GEMM trailing updates (see
-        // `PSVD_QR_BLOCK` in DESIGN.md).
+        // Orthogonalize the residual block at `qr_block` of its shape:
+        // batches of 48 columns or more take compact-WY panels with
+        // packed-GEMM trailing updates, narrower ones the unblocked path.
         qr_thin_into(self.resid.view(), &mut self.jq, &mut self.jr, &mut self.ws);
 
         // Keep only residual directions that carry real energy: when a

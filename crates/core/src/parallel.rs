@@ -377,13 +377,11 @@ impl<'a, C: Communicator, T: Scalar + Payload> ParallelStreamingSvd<'a, C, T> {
     /// persist on the instance; only the `O(n²)` matrices whose ownership
     /// moves through the communicator are freshly allocated.
     ///
-    /// Both QR stages route through `qr_thin_into`, which dispatches to
-    /// the blocked compact-WY factorization for wide-enough panels (see
-    /// `PSVD_QR_BLOCK` in DESIGN.md): the tall local stage gets the
-    /// packed-GEMM trailing updates, while the small `pn x n` root stage
-    /// stays on the unblocked reference path with its serial reflector
-    /// fallback — no thread-pool handoff for a factorization that takes
-    /// microseconds.
+    /// Both QR stages route through `qr_thin_into` at `qr_block` of their
+    /// shape. Both have `n` columns, so both stay on the unblocked
+    /// reflector-at-a-time path below `n = 48` and take compact-WY panels
+    /// with packed-GEMM trailing updates from 48 up. Reflector sweeps too
+    /// small to pay for a thread-pool handoff run on the calling thread.
     ///
     /// Permanent communication failures surface instead of panicking; the
     /// persistent factor buffers stay on the instance either way, so an

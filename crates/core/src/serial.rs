@@ -179,10 +179,11 @@ impl<T: Scalar> SerialStreamingSvd<T> {
         let ff = self.cfg.forget_factor;
         fill_stack(&mut self.stack, &self.modes, &self.singular_values, ff, ai);
 
-        // Thin QR of the stack, SVD of the small triangular factor. The QR
-        // dispatches to the blocked compact-WY path once `k0 + B` crosses
-        // the panel threshold (see `PSVD_QR_BLOCK` in DESIGN.md), so the
-        // per-batch factorization cost is dominated by packed GEMM.
+        // Thin QR of the stack, SVD of the small triangular factor. The
+        // panel width is `qr_block` of the stack's shape: the `k0 + B`
+        // columns stay on the unblocked reflector-at-a-time path below 48
+        // and take compact-WY panels with packed-GEMM trailing updates
+        // from 48 up.
         qr_thin_into(self.stack.view(), &mut self.qbuf, &mut self.rbuf, &mut self.ws);
         self.finish_update();
         self.snapshots_seen += ai.cols();

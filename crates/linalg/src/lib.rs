@@ -48,9 +48,9 @@ pub use gemm::{gram_into, matmul_acc_into, matmul_into, matmul_nt_into, matmul_t
 pub use lanczos::{lanczos_svd, LanczosConfig};
 pub use matrix::{alloc_stats, Matrix};
 pub use pinv::{lstsq, pseudoinverse};
-pub use qr::{qr_block, qr_thin_into, set_qr_block, thin_qr, QrFactors};
+pub use qr::{qr_block, qr_thin_blocked_into, qr_thin_into, thin_qr, QrFactors};
 pub use randomized::{low_rank_svd, randomized_svd, RandomizedConfig};
-pub use rot::{rot_block, set_rot_block, RotAccumulator, RotStats};
+pub use rot::{rot_block, RotAccumulator, RotStats};
 pub use scalar::Scalar;
 pub use snapshots::generate_right_vectors;
 pub use svd::{svd, svd_with, truncated_svd, Svd, SvdInfo, SvdMethod};

@@ -18,8 +18,6 @@ use crate::scalar::Scalar;
 use crate::view::MatView;
 use crate::workspace::Workspace;
 use crate::wy;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// Below this many flops (`4 · v.len() · columns`) a reflector sweep runs
 /// on the calling thread: the p×p root factorization of TSQR and the short
@@ -112,41 +110,16 @@ pub(crate) fn apply_reflector_right<T: Scalar>(
     }
 }
 
-/// Process-wide programmatic override of the QR/bidiagonalization panel
-/// width (`0` = resolve from the `PSVD_QR_BLOCK` env var, then the shape
-/// heuristic). Takes precedence over the environment so tests and benches
-/// can switch block sizes without re-execing.
-static QR_BLOCK: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the compact-WY panel width for all subsequent factorizations.
-/// `nb = 1` forces the unblocked reference path; `0` restores automatic
-/// resolution (env var, then shape heuristic). The effective width is
-/// always clamped to `min(m, n)` per call.
-///
-/// Note that unlike the thread count, the panel width changes the
-/// floating-point result (within contract tolerances): callers comparing
-/// runs bitwise must pin `nb`.
-pub fn set_qr_block(nb: usize) {
-    QR_BLOCK.store(nb, Ordering::Relaxed);
-}
-
-/// `PSVD_QR_BLOCK`, read once per process (consistent with how the kernel
-/// thread count is resolved in [`crate::par`]).
-fn env_qr_block() -> Option<usize> {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("PSVD_QR_BLOCK").ok().and_then(|s| s.trim().parse().ok()).filter(|&n| n > 0)
-    })
-}
-
-/// Shape-based default panel width. Small factorizations stay on the
+/// The compact-WY panel width an `m x n` factorization uses: a pure
+/// function of shape. Small factorizations (`min(m, n) < 48`) stay on the
 /// unblocked path (panel assembly + T recurrence overhead beats the GEMM
-/// gain below ~48 columns); medium and large ones use panels sized so the
-/// `(Y, T)` pair stays cache-resident while the trailing GEMM runs at full
-/// packed-kernel throughput. A pure function of shape, so the dispatch
-/// decision — like everything downstream of it — is independent of the
-/// thread count.
-fn auto_qr_block(p: usize) -> usize {
+/// gain there); medium and large ones use panels sized so the `(Y, T)`
+/// pair stays cache-resident while the trailing GEMM runs at full
+/// packed-kernel throughput. Like everything downstream of it, the choice
+/// is independent of the thread count. To compare widths, call
+/// [`qr_thin_blocked_into`] with an explicit `nb`.
+pub fn qr_block(m: usize, n: usize) -> usize {
+    let p = m.min(n);
     if p < 48 {
         1
     } else if p < 128 {
@@ -154,16 +127,6 @@ fn auto_qr_block(p: usize) -> usize {
     } else {
         32
     }
-}
-
-/// The panel width an `m x n` factorization will actually use, after the
-/// programmatic override, `PSVD_QR_BLOCK`, the shape heuristic, and the
-/// `min(m, n)` clamp. Exposed so benches and tests can report / pin it.
-pub fn qr_block(m: usize, n: usize) -> usize {
-    let p = m.min(n).max(1);
-    let cfg = QR_BLOCK.load(Ordering::Relaxed);
-    let nb = if cfg > 0 { cfg } else { env_qr_block().unwrap_or_else(|| auto_qr_block(p)) };
-    nb.min(p)
 }
 
 /// The result of a QR factorization: `a = q * r`.
@@ -186,8 +149,9 @@ pub fn thin_qr<T: Scalar>(a: &Matrix<T>) -> QrFactors<T> {
 
 /// Thin Householder QR of a view with canonical (non-negative) `R`
 /// diagonal, writing the factors into `q` / `r` and drawing every
-/// temporary from `ws`. With warm buffers the call performs zero heap
-/// allocation. Bitwise identical to [`thin_qr`].
+/// temporary from `ws`, at the shape's panel width [`qr_block`]. With warm
+/// buffers the call performs zero heap allocation. Bitwise identical to
+/// [`thin_qr`].
 pub fn qr_thin_into<T: Scalar>(
     a: MatView<'_, T>,
     q: &mut Matrix<T>,
@@ -195,22 +159,28 @@ pub fn qr_thin_into<T: Scalar>(
     ws: &mut Workspace,
 ) {
     let (m, n) = a.shape();
-    let nb = qr_block(m, n);
+    qr_thin_blocked_into(a, qr_block(m, n), q, r, ws);
+}
+
+/// [`qr_thin_into`] at an explicit compact-WY panel width `nb`, clamped to
+/// `min(m, n)`; `nb <= 1` is the unblocked reflector-at-a-time reference.
+/// Unlike the thread count, the width changes rounding (within contract
+/// tolerances), so bitwise comparisons must hold `nb` fixed.
+pub fn qr_thin_blocked_into<T: Scalar>(
+    a: MatView<'_, T>,
+    nb: usize,
+    q: &mut Matrix<T>,
+    r: &mut Matrix<T>,
+    ws: &mut Workspace,
+) {
+    let (m, n) = a.shape();
+    let nb = nb.min(m.min(n).max(1));
     if nb <= 1 {
         householder_into(a, q, r, ws);
     } else {
         householder_blocked_into(a, q, r, nb, ws);
     }
     canonicalize_qr(q, r);
-}
-
-/// Thin Householder QR without sign canonicalization.
-pub fn householder_qr<T: Scalar>(a: &Matrix<T>) -> QrFactors<T> {
-    let mut ws = Workspace::new();
-    let mut q = Matrix::zeros(0, 0);
-    let mut r = Matrix::zeros(0, 0);
-    householder_into(a.view(), &mut q, &mut r, &mut ws);
-    QrFactors { q, r }
 }
 
 /// The factorization core: identical arithmetic (hence identical bits) to

@@ -32,22 +32,18 @@
 //!
 //! ## Dispatch and determinism
 //!
-//! The window capacity is resolved per factor from [`rot_block`]: a
-//! programmatic [`set_rot_block`] override, then the `PSVD_ROT_BLOCK`
-//! environment variable, then a shape heuristic (small factors stay on the
-//! direct path — capacity 1 — which is the bitwise reference the
-//! accumulated path is contract-tested against, to ≤1e-12). Everything in
-//! the accumulation itself is serial; the flush runs on the packed GEMM
-//! engine, which partitions output rows and is bitwise deterministic
-//! across thread counts — so at a fixed block size, results are identical
-//! for every `PSVD_NUM_THREADS`.
+//! The window capacity of each factor is the shape heuristic
+//! [`rot_block`] (small factors stay on the direct path — capacity 1 —
+//! which is the bitwise reference the accumulated path is contract-tested
+//! against, to ≤1e-12). Everything in the accumulation itself is serial;
+//! the flush runs on the packed GEMM engine, which partitions output rows
+//! and is bitwise deterministic across thread counts — so at a fixed block
+//! size, results are identical for every `PSVD_NUM_THREADS`.
 
 use crate::gemm::matmul_into;
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 use crate::workspace::Workspace;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// Rotate columns `j` and `k` of `m`: `col_j ← c*col_j + s*col_k`,
 /// `col_k ← -s*col_j + c*col_k`. The direct level-1 reference that the
@@ -62,57 +58,22 @@ pub fn rotate_cols<T: Scalar>(m: &mut Matrix<T>, j: usize, k: usize, c: T, s: T)
     }
 }
 
-/// Process-wide programmatic override of the rotation window capacity
-/// (`0` = resolve from the `PSVD_ROT_BLOCK` env var, then the shape
-/// heuristic). `nb <= 1` forces the direct per-rotation reference path.
-static ROT_BLOCK: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the rotation-accumulation window capacity for all subsequent SVD
-/// iterations. `nb = 1` forces the direct per-rotation reference path;
-/// `0` restores automatic resolution (env var, then shape heuristic).
-///
-/// Like the QR panel width — and unlike the thread count — the window
-/// capacity changes rounding (within the ≤1e-12 contract): callers
-/// comparing runs bitwise must pin `nb`.
-pub fn set_rot_block(nb: usize) {
-    ROT_BLOCK.store(nb, Ordering::Relaxed);
-}
-
-/// `PSVD_ROT_BLOCK`, read once per process (consistent with
-/// `PSVD_QR_BLOCK` / `PSVD_NUM_THREADS` resolution).
-fn env_rot_block() -> Option<usize> {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("PSVD_ROT_BLOCK").ok().and_then(|s| s.trim().parse().ok()).filter(|&n| n > 0)
-    })
-}
-
-/// Shape-based default window capacity for a `rows x cols` factor.
-/// Short factors stay on the direct path: the window bookkeeping and the
-/// flush GEMM only pay off once each avoided column sweep is long enough
-/// to be memory-bound. Tall factors take the full column width (capped so
-/// the window stays cache-resident): a full-width window never has to
-/// flush mid-iteration, so the rotations of *every* sweep pile into one
-/// small `G` and the target is touched exactly once at the end. A pure
-/// function of shape, so the dispatch decision is independent of the
-/// thread count.
-fn auto_rot_block(rows: usize, cols: usize) -> usize {
+/// The rotation window capacity a `rows x cols` factor uses: a pure
+/// function of shape. Short factors stay on the direct path: the window
+/// bookkeeping and the flush GEMM only pay off once each avoided column
+/// sweep is long enough to be memory-bound. Tall factors take the full
+/// column width (capped at 512 so the window stays cache-resident): a
+/// full-width window never has to flush mid-iteration, so the rotations
+/// of *every* sweep pile into one small `G` and the target is touched
+/// exactly once at the end. Independent of the thread count. To compare
+/// capacities, call `bidiagonal_svd_caps` / `jacobi_svd_caps` in
+/// [`crate::svd`] with explicit values.
+pub fn rot_block(rows: usize, cols: usize) -> usize {
     if rows < 128 || cols < 8 {
         1
     } else {
         cols.min(512)
     }
-}
-
-/// The rotation window capacity a `rows x cols` factor will use, after
-/// the programmatic override, `PSVD_ROT_BLOCK`, and the shape heuristic
-/// (clamped to the column count — a wider window buys nothing). Exposed
-/// so benches and tests can report / pin it.
-pub fn rot_block(rows: usize, cols: usize) -> usize {
-    let cfg = ROT_BLOCK.load(Ordering::Relaxed);
-    let nb =
-        if cfg > 0 { cfg } else { env_rot_block().unwrap_or_else(|| auto_rot_block(rows, cols)) };
-    nb.min(cols.max(1))
 }
 
 /// Observability counters for one [`RotAccumulator`].
@@ -356,15 +317,10 @@ mod tests {
     }
 
     #[test]
-    fn rot_block_respects_override_and_heuristic() {
-        set_rot_block(0);
+    fn rot_block_is_a_shape_heuristic() {
         assert_eq!(rot_block(16, 256), 1, "small factors stay direct");
         assert_eq!(rot_block(4096, 256), 256, "tall factors take full width");
         assert_eq!(rot_block(4096, 2048), 512, "window stays cache-resident");
-        set_rot_block(5);
-        assert_eq!(rot_block(4096, 256), 5);
-        assert_eq!(rot_block(16, 256), 5);
-        assert_eq!(rot_block(4096, 3), 3, "clamped to the column count");
-        set_rot_block(0);
+        assert_eq!(rot_block(4096, 3), 1, "narrow factors stay direct");
     }
 }

@@ -13,7 +13,7 @@
 //!   moments straight from `U` and rotates the full `m`-row columns in
 //!   place — level-1, memory-bound, but with the high-relative-accuracy
 //!   property intact. Small factors (per [`crate::rot::rot_block`]) and
-//!   `PSVD_ROT_BLOCK=1` always take this path.
+//!   an explicit capacity of 1 ([`jacobi_svd_caps`]) take this path.
 //! - **Accumulated**: per sweep, one level-3 Gram product `B = UᵀU`
 //!   supplies every pair's moments; each rotation updates `B` by its
 //!   congruence `B ← RᵀBR` (cache-resident, `O(n)` per pair) and is
@@ -46,15 +46,16 @@ pub fn jacobi_svd<T: Scalar>(a: &Matrix<T>) -> Svd<T> {
 /// [`jacobi_svd`] plus its convergence report (`iterations` = sweeps).
 pub fn jacobi_svd_with_info<T: Scalar>(a: &Matrix<T>) -> (Svd<T>, SvdInfo) {
     let (m, n) = a.shape();
-    assert!(m >= n, "jacobi_svd requires m >= n (got {m}x{n}); use svd() for wide input");
     jacobi_svd_caps(a, rot_block(m, n))
 }
 
-/// The sweep loop with an explicit rotation-window capacity, so tests can
-/// pit the accumulated path against the direct reference without touching
-/// the process-wide knob.
-pub(crate) fn jacobi_svd_caps<T: Scalar>(a: &Matrix<T>, cap: usize) -> (Svd<T>, SvdInfo) {
+/// [`jacobi_svd_with_info`] with an explicit rotation-window capacity
+/// instead of [`rot_block`] of the shape; `cap <= 1` is the direct
+/// reference sweep. `cap` should not exceed the column count: the window
+/// is `cap x cap` scratch. Panics if `m < n`.
+pub fn jacobi_svd_caps<T: Scalar>(a: &Matrix<T>, cap: usize) -> (Svd<T>, SvdInfo) {
     let (m, n) = a.shape();
+    assert!(m >= n, "jacobi_svd requires m >= n (got {m}x{n}); use svd() for wide input");
     if n == 0 {
         let f = Svd { u: Matrix::zeros(m, 0), s: Vec::new(), vt: Matrix::zeros(0, 0) };
         return (f, SvdInfo { iterations: 0, converged: true });

@@ -2,12 +2,16 @@
 //!
 //! Lock discipline (always in this order, never reversed):
 //! `sessions` map read lock → a session's `slot` → that session's
-//! `queue`; the `model` RwLock is only ever taken alone. Queries touch
-//! *only* `model` (an `Arc` clone under a momentary read lock), so a
-//! query can never wait on any tenant's update computation — updates hold
+//! `queue`; the `model` RwLock is only ever taken alone. Updates hold
 //! `slot` for the duration of a round and swap `model` in O(1) at the
-//! end. Eviction sweeps use `try_lock` on victims and skip anything
-//! contended, so two workers can never deadlock evicting each other.
+//! end. A query to a session with a published model touches *only*
+//! `model` (an `Arc` clone under a momentary read lock), so it never
+//! waits on an update computation. A session with no published model —
+//! evicted, or no round committed yet — is read under its `slot` lock
+//! (rehydrating an evicted one), so that query waits out any round in
+//! flight for the same tenant. Eviction sweeps use `try_lock` on victims
+//! and skip anything contended, so two workers can never deadlock
+//! evicting each other.
 //!
 //! Round exclusivity: a session's `scheduled` flag is held from enqueue
 //! until its round commits, so the tenant sits in the dispatch queue at
@@ -328,6 +332,11 @@ impl SvdServer {
     }
 
     /// The tenant's current model (rehydrating an evicted session).
+    ///
+    /// Lock-free against updates while a model is published. When none is
+    /// (the session was evicted or has not committed a round), the call
+    /// takes the session's slot lock and so waits for a round in flight
+    /// for this tenant to commit.
     pub fn model(&self, tenant: &str) -> Result<Arc<SessionModel>, ServeError> {
         let t0 = Instant::now();
         let session = self.inner.get(tenant)?;
@@ -398,8 +407,7 @@ impl SvdServer {
         // an empty queue — so this cannot wait forever.)
         {
             let mut sched = self.inner.sched.lock().unwrap();
-            while sched.in_flight.contains_key(tenant) || sched.queue.iter().any(|t| t == tenant)
-            {
+            while sched.in_flight.contains_key(tenant) || sched.queue.iter().any(|t| t == tenant) {
                 sched = self.inner.idle_cv.wait(sched).unwrap();
             }
         }

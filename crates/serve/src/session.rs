@@ -336,8 +336,7 @@ impl SessionState {
         let word = |i: usize| {
             u64::from_le_bytes(data[8 + i * 8..16 + i * 8].try_into().expect("sized")) as usize
         };
-        let (rows, ranks, rounds, replays, nparts) =
-            (word(0), word(1), word(2), word(3), word(4));
+        let (rows, ranks, rounds, replays, nparts) = (word(0), word(1), word(2), word(3), word(4));
         if rows != spec.rows || ranks != spec.ranks {
             return Err(bad("session blob does not match the spec"));
         }

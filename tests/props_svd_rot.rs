@@ -2,39 +2,31 @@
 //! bidiagonal QR iteration, and property tests for `bidiagonal_svd` on
 //! adversarial spectra.
 //!
-//! The rotation window capacity (`set_rot_block` / `PSVD_ROT_BLOCK`) —
-//! unlike the thread count — changes rounding in the factors, so every
-//! test that pins it holds a process lock and restores automatic
-//! resolution on drop. Within a fixed capacity the results must be
-//! bitwise identical across thread counts; across capacities the
-//! singular values are bitwise identical (the rotation parameters derive
-//! only from the bidiagonal, which accumulation never touches) and the
-//! factors agree to the ≤1e-12 contract.
+//! The rotation window capacity — unlike the thread count — changes
+//! rounding in the factors, so every test that compares capacities passes
+//! them explicitly (`bidiagonal_svd_caps` / `jacobi_svd_caps`). Within a
+//! fixed capacity the results must be bitwise identical across thread
+//! counts; across capacities the singular values are bitwise identical
+//! (the rotation parameters derive only from the bidiagonal, which
+//! accumulation never touches) and the factors agree to the ≤1e-12
+//! contract.
 
 use pyparsvd::linalg::norms::orthogonality_error;
 use pyparsvd::linalg::par;
 use pyparsvd::linalg::random::{gaussian_matrix, seeded_rng};
-use pyparsvd::linalg::rot::{rot_block, set_rot_block};
-use pyparsvd::linalg::svd::golub_kahan::{bidiagonal_svd_with_info, golub_kahan_svd_with_info};
-use pyparsvd::linalg::svd::jacobi::{jacobi_svd, jacobi_svd_with_info};
-use pyparsvd::linalg::{Matrix, Svd};
-use std::sync::{Mutex, MutexGuard};
+use pyparsvd::linalg::rot::rot_block;
+use pyparsvd::linalg::svd::golub_kahan::{
+    bidiagonal_svd_caps, bidiagonal_svd_with_info, bidiagonalize, golub_kahan_svd_with_info,
+};
+use pyparsvd::linalg::svd::jacobi::{jacobi_svd, jacobi_svd_caps, jacobi_svd_with_info};
+use pyparsvd::linalg::{Matrix, Svd, SvdInfo};
 
-/// `set_rot_block` is process-global state; serialize every test that
-/// touches it (poisoning from an asserting test must not cascade).
-static ROT_KNOB: Mutex<()> = Mutex::new(());
-
-struct KnobGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for KnobGuard {
-    fn drop(&mut self) {
-        set_rot_block(0);
-        par::set_num_threads(0);
-    }
-}
-
-fn lock_knob() -> KnobGuard {
-    KnobGuard(ROT_KNOB.lock().unwrap_or_else(|e| e.into_inner()))
+/// The Golub–Kahan SVD of `a` at explicit window capacities for both
+/// factors (what `golub_kahan_svd_with_info` runs at `rot_block` of their
+/// shapes).
+fn golub_kahan_caps(a: &Matrix, cap: usize) -> (Svd, SvdInfo) {
+    let (u, d, e, v) = bidiagonalize(a);
+    bidiagonal_svd_caps(d, e, u, v, cap, cap)
 }
 
 /// Run `bidiagonal_svd` on `(d, e)` seeded with identity factors and
@@ -142,14 +134,11 @@ fn graded_moderate_scales_match_jacobi() {
 
 #[test]
 fn accumulated_matches_direct_reference() {
-    let _g = lock_knob();
     let a = gaussian_matrix(300, 48, &mut seeded_rng(42));
-    set_rot_block(1);
-    let (direct, di) = golub_kahan_svd_with_info(&a);
+    let (direct, di) = golub_kahan_caps(&a, 1);
     assert!(di.converged);
     for nb in [8, 48] {
-        set_rot_block(nb);
-        let (acc, ai) = golub_kahan_svd_with_info(&a);
+        let (acc, ai) = golub_kahan_caps(&a, nb);
         assert!(ai.converged);
         assert_eq!(ai.iterations, di.iterations, "iteration path must not depend on nb");
         // The QR iteration reads only the bidiagonal, which accumulation
@@ -163,12 +152,9 @@ fn accumulated_matches_direct_reference() {
 
 #[test]
 fn jacobi_accumulated_matches_direct_reference() {
-    let _g = lock_knob();
     let a = gaussian_matrix(200, 12, &mut seeded_rng(17));
-    set_rot_block(1);
-    let direct = jacobi_svd(&a);
-    set_rot_block(12);
-    let acc = jacobi_svd(&a);
+    let direct = jacobi_svd_caps(&a, 1).0;
+    let acc = jacobi_svd_caps(&a, 12).0;
     for (x, y) in direct.s.iter().zip(&acc.s) {
         assert!((x - y).abs() <= 1e-12 * direct.s[0], "sigma diverged: {x} vs {y}");
     }
@@ -178,26 +164,23 @@ fn jacobi_accumulated_matches_direct_reference() {
 
 #[test]
 fn fixed_block_bitwise_identical_across_thread_counts() {
-    let _g = lock_knob();
     // Big enough that the window flush GEMM crosses the packed engine's
     // parallel threshold, so the row partition genuinely splits.
     let a = gaussian_matrix(600, 96, &mut seeded_rng(5));
-    set_rot_block(96);
     par::set_num_threads(1);
-    let (base, _) = golub_kahan_svd_with_info(&a);
+    let (base, _) = golub_kahan_caps(&a, 96);
     for threads in [2usize, 4, 8] {
         par::set_num_threads(threads);
-        let (f, _) = golub_kahan_svd_with_info(&a);
+        let (f, _) = golub_kahan_caps(&a, 96);
         assert_eq!(f.s, base.s, "sigma bits changed at {threads} threads");
         assert_eq!(f.u, base.u, "U bits changed at {threads} threads");
         assert_eq!(f.vt, base.vt, "V bits changed at {threads} threads");
     }
+    par::set_num_threads(0);
 }
 
 #[test]
-fn auto_heuristic_override_and_clamping() {
-    let _g = lock_knob();
-    set_rot_block(0);
+fn shape_heuristic() {
     // Pure function of shape: short factors stay direct, tall factors take
     // the (cache-capped) full width, and the window never exceeds the
     // column count.
@@ -206,7 +189,13 @@ fn auto_heuristic_override_and_clamping() {
     assert_eq!(rot_block(8192, 256), 256);
     assert_eq!(rot_block(8192, 2048), 512);
     assert_eq!(rot_block(8192, 4), 1);
-    set_rot_block(40);
-    assert_eq!(rot_block(64, 256), 40, "override beats the heuristic");
-    assert_eq!(rot_block(8192, 16), 16, "override clamps to the column count");
+    assert_eq!(rot_block(8192, 16), 16);
+    // The default solve runs exactly the shapes' capacities: 48 for the
+    // tall 300x48 U, 1 for the short 48x48 V.
+    let a = gaussian_matrix(300, 48, &mut seeded_rng(31));
+    let (want, _) = golub_kahan_svd_with_info(&a);
+    let (u, d, e, v) = bidiagonalize(&a);
+    let (got, _) = bidiagonal_svd_caps(d, e, u, v, rot_block(300, 48), rot_block(48, 48));
+    assert_eq!((got.s, got.u, got.vt), (want.s, want.u, want.vt));
+    assert_eq!((rot_block(300, 48), rot_block(48, 48)), (48, 1));
 }
